@@ -15,9 +15,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpc_algebra::Fp;
+use mpc_net::transport::{Medium, WallNet};
 use mpc_net::{
-    AdversaryStructure, Backend, ByzantineStrategy, CorruptionSet, FaultPlan, LinkDelays, Metrics,
-    NetConfig, NetworkKind, PartyId, PartyView, Protocol, Scheduler, Simulation, TcpNet,
+    knobs, AdversaryStructure, Backend, ByzantineStrategy, CorruptionSet, FaultPlan, LinkDelays,
+    Metrics, NetConfig, NetworkKind, PartyId, PartyView, Protocol, Scheduler, Simulation, TcpNet,
     ThreadedNet, ThresholdAdversary, Time, Transport, TransportError,
 };
 use mpc_protocols::byzantine::SilentParty;
@@ -25,44 +26,6 @@ use mpc_protocols::{Msg, Params};
 
 use crate::circuit::Circuit;
 use crate::cireval::CirEval;
-
-/// Typed access to the `MPC_*` environment knobs.
-///
-/// Every knob the builder resolves from the environment goes through one of
-/// these helpers, so a set-but-malformed value is a loud configuration error
-/// instead of a silent fallback to the default — a sweep whose knob is
-/// misspelled must not quietly measure the wrong thing.
-pub mod knobs {
-    use std::fmt::Display;
-    use std::str::FromStr;
-
-    /// The raw value of the environment variable `name`, treating unset and
-    /// blank values as absent.
-    pub fn raw(name: &str) -> Option<String> {
-        match std::env::var(name) {
-            Ok(v) if !v.trim().is_empty() => Some(v.trim().to_string()),
-            _ => None,
-        }
-    }
-
-    /// Parses the environment variable `name` as a `T`. `what` names the
-    /// expected shape in the failure message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set and non-blank but does not parse — the
-    /// caller's default applies only to *absent* knobs, never to broken ones.
-    pub fn parsed<T>(name: &str, what: &str) -> Option<T>
-    where
-        T: FromStr,
-        T::Err: Display,
-    {
-        raw(name).map(|v| {
-            v.parse()
-                .unwrap_or_else(|e| panic!("{name}={v:?} could not be parsed as {what}: {e}"))
-        })
-    }
-}
 
 /// Error returned when a protocol run does not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,8 +214,8 @@ impl MpcBuilder {
         self
     }
 
-    /// Sets the threaded backend's zero-progress deadline: if a party's gate
-    /// makes no progress for this long it records a
+    /// Sets the wall-clock runtime's zero-progress deadline (threaded and
+    /// tcp): if a party's gate makes no progress for this long it records a
     /// [`TransportError::Wedged`] (surfaced via the run error and counted in
     /// [`Metrics::wedges`]) and releases the gate instead of stalling
     /// forever. Ignored on the simulator. Defaults to the `MPC_WEDGE_MS`
@@ -336,8 +299,9 @@ impl MpcBuilder {
         self
     }
 
-    /// Sets the simulator's worker-thread count for same-time-slice
-    /// pre-execution (see [`NetConfig::with_threads`]). Purely a wall-clock
+    /// Sets the simulator's worker-thread count for the framed engine's
+    /// same-time-slice pre-execution (see [`NetConfig::with_threads`]); the
+    /// unframed engine is always sequential. Purely a wall-clock
     /// knob: the run's outputs, metrics and bit accounting are identical
     /// for every value. Defaults to the `MPC_THREADS` environment variable,
     /// then 1.
@@ -391,15 +355,15 @@ impl MpcBuilder {
     }
 
     /// Selects the backend the run executes on: the deterministic simulator
-    /// or the real threaded runtime. Defaults to the `MPC_TRANSPORT`
-    /// environment variable (see [`Backend::from_env`]), i.e. the simulator
-    /// unless `MPC_TRANSPORT=threaded`.
+    /// or the wall-clock runtime over channels (threaded) or sockets (tcp).
+    /// Defaults to the `MPC_TRANSPORT` environment variable (see
+    /// [`Backend::from_env`]), i.e. the simulator unless it names another.
     pub fn transport(mut self, backend: Backend) -> Self {
         self.transport = Some(backend);
         self
     }
 
-    /// Overrides the threaded backend's per-link latency matrix (ignored on
+    /// Overrides the wall-clock runtime's per-link latency matrix (ignored on
     /// the simulator — pass the same matrix as a [`MpcBuilder::scheduler`]
     /// there). Used by the conformance harness to drive both backends with
     /// the exact same link delays.
@@ -408,7 +372,7 @@ impl MpcBuilder {
         self
     }
 
-    /// Overrides the threaded backend's real tick duration in microseconds
+    /// Overrides the wall-clock runtime's real tick duration in microseconds
     /// (default: the `MPC_TICK_US` environment variable, then 1000). Ignored
     /// on the simulator.
     pub fn tick_micros(mut self, micros: u64) -> Self {
@@ -418,7 +382,7 @@ impl MpcBuilder {
 
     /// Runs to quiescence instead of stopping as soon as every honest party
     /// has an output. The simulator stops early by default (cheapest); the
-    /// threaded backend always drains — so enable this when comparing
+    /// wall-clock runtime always drains — so enable this when comparing
     /// metrics across backends.
     pub fn drain(mut self, drain: bool) -> Self {
         self.drain = drain;
@@ -503,27 +467,14 @@ impl MpcBuilder {
                         None => LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed),
                     },
                 };
-                if backend == Backend::Threaded {
-                    let mut th = ThreadedNet::with_links(cfg, corrupt.clone(), links, parties);
-                    if let Some(micros) = self.tick_micros {
-                        th = th.with_tick_micros(micros);
-                    }
-                    if let Some(millis) = self.wedge_millis {
-                        th = th.with_wedge_millis(millis);
-                    }
-                    th.set_fault_plan(fault_plan.clone());
-                    Box::new(th)
+                let (tick, wedge) = (self.tick_micros, self.wedge_millis);
+                if backend == Backend::Tcp {
+                    let mut tcp = TcpNet::with_links(cfg, corrupt.clone(), links, parties);
+                    tcp.set_chaos_plan(chaos_plan);
+                    wall_clock(tcp, tick, wedge, fault_plan.clone())
                 } else {
-                    let mut th = TcpNet::with_links(cfg, corrupt.clone(), links, parties);
-                    if let Some(micros) = self.tick_micros {
-                        th = th.with_tick_micros(micros);
-                    }
-                    if let Some(millis) = self.wedge_millis {
-                        th = th.with_wedge_millis(millis);
-                    }
-                    th.set_fault_plan(fault_plan.clone());
-                    th.set_chaos_plan(chaos_plan);
-                    Box::new(th)
+                    let threaded = ThreadedNet::with_links(cfg, corrupt.clone(), links, parties);
+                    wall_clock(threaded, tick, wedge, fault_plan.clone())
                 }
             }
         };
@@ -600,6 +551,21 @@ impl MpcBuilder {
             metrics,
         })
     }
+}
+
+/// Applies the builder's tick, wedge and fault settings — the same for
+/// every medium — to a wall-clock runtime.
+fn wall_clock<K: Medium>(
+    net: WallNet<Msg, K>,
+    tick_micros: Option<u64>,
+    wedge_millis: Option<u64>,
+    fault_plan: FaultPlan,
+) -> Box<dyn Transport<Msg>> {
+    let mut net = net
+        .with_tick_micros(tick_micros.unwrap_or(0))
+        .with_wedge_millis(wedge_millis.unwrap_or(0));
+    net.set_fault_plan(fault_plan);
+    Box::new(net)
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 pub mod adversary;
 pub mod context;
 pub mod faults;
+pub mod knobs;
 pub mod metrics;
 pub mod scheduler;
 pub mod simulation;

@@ -23,13 +23,14 @@ pub trait Scheduler {
     fn max_delay(&self) -> Time;
 
     /// Lower bound on [`Scheduler::delay`] for *cross-party* messages
-    /// (`from != to`). The simulator only enables parallel same-time-slice
-    /// pre-execution when this is ≥ 1: it guarantees that every event a
-    /// party handles at time `T` can only spawn further time-`T` events for
-    /// that *same* party (self-sends and zero-delay timers), which is what
-    /// makes per-party pre-execution order-independent. The conservative
-    /// default of 0 keeps custom schedulers correct (they simply run on the
-    /// sequential path).
+    /// (`from != to`). The simulator only enables its framed engine — and
+    /// with it per-party batches, frame coalescing and parallel
+    /// same-time-slice pre-execution — when this is ≥ 1: it guarantees that
+    /// every event a party handles at time `T` can only spawn further
+    /// time-`T` events for that *same* party (self-sends and zero-delay
+    /// timers), which is what makes per-party batches order-independent.
+    /// The conservative default of 0 keeps custom schedulers correct (they
+    /// simply run on the unframed sequential engine).
     fn min_delay(&self) -> Time {
         0
     }

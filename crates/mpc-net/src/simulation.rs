@@ -1,17 +1,20 @@
 //! The discrete-event simulator driving all protocol executions.
 //!
-//! Since PR 4 the simulator executes in deterministic *time slices*: all
-//! events scheduled at the same simulated tick form one batch, the batch is
-//! (optionally) pre-executed on worker threads grouped by destination party,
-//! and the results are merged back in the exact canonical event order the
-//! purely sequential engine would have produced — transcripts, [`Metrics`]
-//! and bit accounting are bit-identical for every worker-thread count. See
-//! the "Deterministic parallel execution" section of DESIGN.md for the
+//! The simulator executes in deterministic *time slices*: all events
+//! scheduled at the same simulated tick form one batch. Two engines process
+//! a batch. The framed engine (the default) runs each party's share of the
+//! batch as one unit, inline or on worker threads, and merges the outcomes
+//! in canonical party order — transcripts, [`Metrics`] and bit accounting
+//! are bit-identical for every worker-thread count. The unframed engine
+//! processes the batch one event at a time; it is the reference the
+//! frames-off goldens pin and the engine for zero-delay schedulers. See the
+//! "Deterministic parallel execution" section of DESIGN.md for the
 //! correctness argument.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::collections::{BTreeMap, BinaryHeap};
+use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +24,7 @@ use crate::adversary::{
 };
 use crate::context::{Context, Effects, Path, Protocol};
 use crate::faults::{FaultOutcome, FaultPlan};
+use crate::knobs::{self, Switch};
 use crate::metrics::Metrics;
 use crate::scheduler::{FixedDelay, Scheduler, UniformDelay};
 use crate::wire::{Frame, FrameBuilder, WireDecode, WireEncode};
@@ -36,31 +40,25 @@ pub enum NetworkKind {
     Asynchronous,
 }
 
-/// The process-wide default worker-thread count, read once from the
-/// `MPC_THREADS` environment variable (unset, empty or unparsable → 1).
+/// The default worker-thread count from the `MPC_THREADS` environment
+/// variable (a positive integer; unset or blank → 1).
+///
+/// # Panics
+///
+/// Panics if `MPC_THREADS` is set but not a positive integer.
 fn env_threads() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MPC_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    })
+    knobs::parsed::<NonZeroUsize>("MPC_THREADS", "a positive thread count")
+        .map_or(1, NonZeroUsize::get)
 }
 
-/// The process-wide default for wire-frame coalescing, read once from the
-/// `MPC_FRAMES` environment variable (`0`, `false` or `off` disable it;
-/// anything else — including unset — enables it).
+/// The default for wire-frame coalescing from the `MPC_FRAMES` environment
+/// variable (see [`knobs::Switch`]; unset or blank → on).
+///
+/// # Panics
+///
+/// Panics if `MPC_FRAMES` is set to anything but `0/1/false/true/off/on`.
 fn env_frames() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("MPC_FRAMES") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => true,
-    })
+    knobs::parsed::<Switch>("MPC_FRAMES", "an on/off switch").is_none_or(|Switch(on)| on)
 }
 
 /// Static configuration of a simulation run.
@@ -75,8 +73,9 @@ pub struct NetConfig {
     /// Master seed: party RNGs, the scheduler RNG and the common-coin oracle
     /// are all derived from it, making runs fully reproducible.
     pub seed: u64,
-    /// Worker threads for same-time-slice pre-execution: `None` defers to
-    /// the `MPC_THREADS` environment variable (default 1 = sequential).
+    /// Worker threads for the framed engine's same-time-slice
+    /// pre-execution: `None` defers to the `MPC_THREADS` environment
+    /// variable (default 1 = sequential).
     /// The thread count never changes the execution — only its wall-clock
     /// time — so this is purely a performance knob.
     pub threads: Option<usize>,
@@ -404,28 +403,6 @@ impl EventQueue {
         self.len -= 1;
         Some(ev)
     }
-
-    /// Iterates the *current* tick's pending events in arbitrary order
-    /// (cheap pre-inspection without popping).
-    fn current_events(&self) -> impl Iterator<Item = &Event> {
-        self.ring[self.cursor].iter().map(|Reverse(ev)| ev)
-    }
-}
-
-/// One pre-executed event of a party's same-time batch: the transcript entry
-/// it produced plus its side effects with payloads already encoded. Produced
-/// on worker threads, consumed by the canonical serial merge.
-struct Step {
-    /// 0 = delivery, 1 = timer — validated against the merged event.
-    kind_tag: u8,
-    transcript: Option<TranscriptEntry>,
-    decode_failed: bool,
-    /// `(to, path, canonical bytes)` unicasts, in emission order.
-    sends: Vec<(PartyId, Path, Arc<Vec<u8>>)>,
-    /// `(path, canonical bytes)` broadcasts, in emission order.
-    broadcasts: Vec<(Path, Arc<Vec<u8>>)>,
-    /// `(delay, path, id)` timer requests, in emission order.
-    timers: Vec<(Time, Path, u64)>,
 }
 
 /// A worker-local event: same ordering key as [`Event`] restricted to one
@@ -485,184 +462,6 @@ pub(crate) struct WorkerParty<'a, M> {
     pub(crate) protocol: &'a mut Box<dyn Protocol<M>>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) events: Vec<EventKind>,
-}
-
-/// Pre-executes one party's full time-`t` batch — including the same-tick
-/// cascades its own handlers spawn (self-sends, broadcast self-copies,
-/// zero-delay timers) — and returns one [`Step`] per processed event, in the
-/// party's canonical processing order.
-///
-/// This runs on a worker thread and touches nothing but the party's own
-/// state and RNG, which is exactly why per-party pre-execution commutes: see
-/// DESIGN.md, "Deterministic parallel execution".
-fn run_party_slice<M: WireEncode + WireDecode + 'static>(
-    wp: WorkerParty<'_, M>,
-    t: Time,
-    n: usize,
-    delta: Time,
-    coin_seed: u64,
-    record: bool,
-) -> (PartyId, VecDeque<Step>) {
-    let WorkerParty {
-        party,
-        protocol,
-        rng,
-        events,
-    } = wp;
-    let mut queue: BinaryHeap<Reverse<LocalEv>> = BinaryHeap::with_capacity(events.len());
-    let mut lseq = 0u64;
-    for kind in events {
-        debug_assert_eq!(kind.party(), party);
-        let local = match kind {
-            EventKind::Deliver {
-                from,
-                path,
-                payload,
-                ..
-            } => LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Deliver {
-                    from,
-                    path,
-                    payload,
-                },
-            },
-            EventKind::DeliverFrame { .. } => {
-                unreachable!("frame events are only scheduled by the framed slice engine")
-            }
-            EventKind::Timer { path, id, .. } => LocalEv {
-                rank: 1,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Timer { path, id },
-            },
-        };
-        lseq += 1;
-        queue.push(Reverse(local));
-    }
-    let mut steps = VecDeque::new();
-    let mut scratch: Effects<M> = Effects::new();
-    while let Some(Reverse(ev)) = queue.pop() {
-        let mut step = Step {
-            kind_tag: 0,
-            transcript: None,
-            decode_failed: false,
-            sends: Vec::new(),
-            broadcasts: Vec::new(),
-            timers: Vec::new(),
-        };
-        match ev.kind {
-            LocalKind::Deliver {
-                from,
-                path,
-                payload,
-            } => match M::decode(&payload) {
-                Err(_) => {
-                    step.decode_failed = true;
-                    if record {
-                        step.transcript = Some(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::DroppedDeliver {
-                                from,
-                                path,
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                }
-                Ok(msg) => {
-                    if record {
-                        step.transcript = Some(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::Deliver {
-                                from,
-                                path: path.clone(),
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                    let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                    protocol.on_message(&mut ctx, from, &path, msg);
-                }
-            },
-            LocalKind::Frame { .. } => {
-                unreachable!("frame events are only scheduled by the framed slice engine")
-            }
-            LocalKind::Timer { path, id } => {
-                step.kind_tag = 1;
-                if record {
-                    step.transcript = Some(TranscriptEntry {
-                        at: t,
-                        party,
-                        event: TranscriptEvent::Timer {
-                            path: path.clone(),
-                            id,
-                        },
-                    });
-                }
-                let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                protocol.on_timer(&mut ctx, &path, id);
-            }
-        }
-        // Resolve the effects: encode payloads here (off the serial merge
-        // path) and feed the party's own same-tick cascades back into the
-        // local queue, in the same relative order the merge's global
-        // sequence numbers will induce (sends, then broadcast self-copies,
-        // then timers — each in emission order).
-        for (to, path, msg) in scratch.sends.drain(..) {
-            let bytes = Arc::new(msg.encode());
-            if to == party {
-                lseq += 1;
-                queue.push(Reverse(LocalEv {
-                    rank: 0,
-                    depth: path.len(),
-                    lseq,
-                    kind: LocalKind::Deliver {
-                        from: party,
-                        path: path.clone(),
-                        payload: Arc::clone(&bytes),
-                    },
-                }));
-            }
-            step.sends.push((to, path, bytes));
-        }
-        for (path, msg) in scratch.broadcasts.drain(..) {
-            let bytes = Arc::new(msg.encode());
-            lseq += 1;
-            queue.push(Reverse(LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Deliver {
-                    from: party,
-                    path: path.clone(),
-                    payload: Arc::clone(&bytes),
-                },
-            }));
-            step.broadcasts.push((path, bytes));
-        }
-        for (delay, path, id) in scratch.timers.drain(..) {
-            if delay == 0 {
-                lseq += 1;
-                queue.push(Reverse(LocalEv {
-                    rank: 1,
-                    depth: path.len(),
-                    lseq,
-                    kind: LocalKind::Timer {
-                        path: path.clone(),
-                        id,
-                    },
-                }));
-            }
-            step.timers.push((delay, path, id));
-        }
-        steps.push_back(step);
-    }
-    (party, steps)
 }
 
 /// Per-message accounting for one honest send: the exact wire size of the
@@ -1285,11 +1084,10 @@ pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
     out
 }
 
-/// Minimum same-tick events before the parallel path spawns workers; below
+/// Minimum same-tick events before the framed engine spawns workers; below
 /// this the per-slice thread overhead outweighs any win and the slice runs
 /// inline (the results are identical either way). At least two distinct
-/// honest parties must also have work — see
-/// [`Simulation::slice_worth_parallelising`].
+/// honest parties must also have work.
 const MIN_PARALLEL_EVENTS: usize = 4;
 
 /// A deterministic discrete-event simulation of `n` parties running one root
@@ -1310,11 +1108,12 @@ const MIN_PARALLEL_EVENTS: usize = 4;
 /// was guaranteed to arrive by then — exactly the paper's synchronous round
 /// abstraction.
 ///
-/// With [`NetConfig::with_threads`] (or `MPC_THREADS`) > 1, each same-time
-/// batch is pre-executed concurrently grouped by destination party and
-/// merged back serially in canonical order; the execution — transcript,
-/// metrics, bit accounting, outputs — is bit-identical to the sequential
-/// one for every seed, network kind and Byzantine strategy.
+/// With [`NetConfig::with_threads`] (or `MPC_THREADS`) > 1, the framed
+/// engine pre-executes each wide enough same-time batch concurrently,
+/// grouped by destination party, and merges the outcomes serially in
+/// canonical order; the execution — transcript, metrics, bit accounting,
+/// outputs — is bit-identical to the sequential one for every seed, network
+/// kind and Byzantine strategy. The unframed engine is always sequential.
 pub struct Simulation<M> {
     config: NetConfig,
     threads: usize,
@@ -1531,8 +1330,8 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     }
 
     /// Processes the next single event. Returns `false` when the queue is
-    /// empty. Always sequential — the parallel *and* framed engines operate
-    /// on whole time slices via the `run_*` methods, so a single-stepped run
+    /// empty. Always sequential — the framed engine operates on whole time
+    /// slices via the `run_*` methods, so a single-stepped run
     /// delivers frames (unpacking them at the boundary) but dispatches its
     /// own output per message.
     pub fn step(&mut self) -> bool {
@@ -1591,23 +1390,14 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         self.now = t;
         let depth = self.queue.len() as u64;
         let before = self.metrics.events_processed;
-        // Parallel pre-execution is sound only when cross-party messages
-        // cannot be delivered within the same tick they are sent (see
-        // `Scheduler::min_delay`): then every same-tick cascade stays on the
-        // party that spawned it, and per-party batches commute. The framed
-        // engine rests on the same property (it is gated on it at
-        // construction) and exploits it twice: per-party batches *and*
-        // per-destination frame coalescing of each batch's output. Whether
-        // parallelism is *worth it* is decided by inspecting the live
-        // bucket, so thin slices pay a single pop each rather than a
-        // drain-and-reinsert.
+        // Two engines. The framed engine (gated at construction on
+        // `Scheduler::min_delay() ≥ 1`, where every same-tick cascade stays
+        // on the party that spawned it) runs per-party batches, on worker
+        // threads when the slice is wide enough, and coalesces each batch's
+        // output into per-destination frames. The unframed engine executes
+        // the slice one event at a time in canonical order.
         if self.framed {
             self.process_slice_framed(t);
-        } else if self.threads > 1
-            && self.scheduler.min_delay() >= 1
-            && self.slice_worth_parallelising()
-        {
-            self.process_slice_parallel(t);
         } else {
             while let Some(ev) = self.queue.pop_current() {
                 self.metrics.events_processed += 1;
@@ -1616,164 +1406,6 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         }
         self.metrics
             .record_slice(self.metrics.events_processed - before, depth);
-    }
-
-    /// Cheap pre-check on the current bucket: spawn workers only for slices
-    /// with at least [`MIN_PARALLEL_EVENTS`] initially queued events spread
-    /// over at least two distinct honest parties. Purely a
-    /// wall-clock heuristic — either engine produces identical results.
-    fn slice_worth_parallelising(&self) -> bool {
-        let mut events = 0usize;
-        let mut first_honest: Option<PartyId> = None;
-        let mut two_honest = false;
-        for ev in self.queue.current_events() {
-            events += 1;
-            if !two_honest {
-                let p = ev.kind.party();
-                if self.corruption.is_honest(p) {
-                    match first_honest {
-                        None => first_honest = Some(p),
-                        Some(q) => two_honest = q != p,
-                    }
-                }
-            }
-            if events >= MIN_PARALLEL_EVENTS && two_honest {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The parallel slice engine: drain the batch, pre-execute honest
-    /// parties' events on worker threads grouped by party, then merge the
-    /// pre-computed steps back by replaying the queue in canonical order
-    /// (corrupt parties execute inline during the merge, because their
-    /// sends consult the shared adversary RNG and strategy).
-    fn process_slice_parallel(&mut self, t: Time) {
-        let mut initial: Vec<Event> = Vec::new();
-        while let Some(ev) = self.queue.pop_current() {
-            initial.push(ev);
-        }
-        // Group the honest parties' events (canonical order per party; the
-        // kind clones are cheap `Arc` bumps).
-        let mut per_party: BTreeMap<PartyId, Vec<EventKind>> = BTreeMap::new();
-        for ev in &initial {
-            let p = ev.kind.party();
-            if self.corruption.is_honest(p) {
-                per_party.entry(p).or_default().push(ev.kind.clone());
-            }
-        }
-        let workers = self.threads.min(per_party.len());
-        let n = self.config.n;
-        let delta = self.config.delta;
-        let coin_seed = self.coin_seed;
-        let record = self.transcript.is_some();
-        // Carve disjoint `&mut` party/rng slots out of the simulation,
-        // round-robin across workers (party ids ascend, so repeated
-        // `split_at_mut` walks suffice — no unsafe).
-        let mut groups: Vec<Vec<WorkerParty<'_, M>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut parties_tail = self.parties.as_mut_slice();
-        let mut rngs_tail = self.rngs.as_mut_slice();
-        let mut offset = 0usize;
-        for (i, (party, events)) in per_party.into_iter().enumerate() {
-            let (_, rest) = parties_tail.split_at_mut(party - offset);
-            let Some((protocol, rest)) = rest.split_first_mut() else {
-                unreachable!("party id within range")
-            };
-            parties_tail = rest;
-            let (_, rest) = rngs_tail.split_at_mut(party - offset);
-            let Some((rng, rest)) = rest.split_first_mut() else {
-                unreachable!("party id within range")
-            };
-            rngs_tail = rest;
-            offset = party + 1;
-            groups[i % workers].push(WorkerParty {
-                party,
-                protocol,
-                rng,
-                events,
-            });
-        }
-        let mut traces: Vec<Option<VecDeque<Step>>> = (0..n).map(|_| None).collect();
-        let results: Vec<Vec<(PartyId, VecDeque<Step>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .into_iter()
-                            .map(|wp| run_party_slice(wp, t, n, delta, coin_seed, record))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker thread panicked"))
-                .collect()
-        });
-        for (party, steps) in results.into_iter().flatten() {
-            traces[party] = Some(steps);
-        }
-        // Canonical serial merge: replay the slice through the queue so the
-        // global order — including cross-party interleavings of same-tick
-        // cascades — is exactly what the sequential engine produces.
-        for ev in initial {
-            self.queue.push(ev);
-        }
-        while let Some(ev) = self.queue.pop_current() {
-            self.metrics.events_processed += 1;
-            let p = ev.kind.party();
-            match traces.get_mut(p).and_then(Option::as_mut) {
-                Some(steps) => {
-                    let step = steps.pop_front().unwrap_or_else(|| {
-                        panic!(
-                            "parallel slice out of sync: party {p} received an unplanned \
-                             same-tick event (is a cross-party delay-0 scheduler in use?)"
-                        )
-                    });
-                    let tag = matches!(ev.kind, EventKind::Timer { .. }) as u8;
-                    assert_eq!(
-                        tag, step.kind_tag,
-                        "parallel slice out of sync for party {p}: event kind mismatch"
-                    );
-                    self.metrics.timeouts_fired += u64::from(tag);
-                    self.consume_step(p, step);
-                }
-                None => self.execute_event(ev),
-            }
-        }
-        debug_assert!(
-            traces
-                .iter()
-                .all(|t| t.as_ref().is_none_or(VecDeque::is_empty)),
-            "every pre-executed step must be consumed by the merge"
-        );
-    }
-
-    /// Applies one pre-executed step on the serial merge path: transcript,
-    /// decode accounting and effect dispatch happen here, in canonical
-    /// order, exactly as the sequential engine interleaves them.
-    fn consume_step(&mut self, party: PartyId, step: Step) {
-        if step.decode_failed {
-            self.metrics.decode_failures += 1;
-        }
-        if let Some(transcript) = &mut self.transcript {
-            if let Some(entry) = step.transcript {
-                transcript.push(entry);
-            }
-        }
-        for (to, path, bytes) in step.sends {
-            self.dispatch(party, true, to, path, bytes, false);
-        }
-        for (path, bytes) in step.broadcasts {
-            for to in 0..self.config.n {
-                self.dispatch(party, true, to, path.clone(), Arc::clone(&bytes), true);
-            }
-        }
-        for (delay, path, id) in step.timers {
-            self.push_timer(party, delay, path, id);
-        }
     }
 
     /// The framed slice engine: drain the tick, group events by party, run
@@ -2506,7 +2138,7 @@ mod tests {
         assert_eq!(sim.party_as::<Order>(0).unwrap().log, vec!["msg", "timer"]);
     }
 
-    /// The core tentpole guarantee at unit scale: a multi-threaded run is
+    /// The core guarantee at unit scale: a multi-threaded framed run is
     /// bit-identical to the sequential one — transcript, metrics, times.
     #[test]
     fn parallel_run_bit_identical_to_sequential() {
@@ -2514,7 +2146,8 @@ mod tests {
         let run = |threads: usize, kind: NetworkKind| {
             let cfg = NetConfig::for_kind(n, kind)
                 .with_seed(5)
-                .with_threads(threads);
+                .with_threads(threads)
+                .with_frames(true);
             let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties(n));
             sim.record_transcript();
             sim.run_to_quiescence(100_000);
@@ -2569,7 +2202,10 @@ mod tests {
         }
         let n = 6;
         let run = |threads: usize| {
-            let cfg = NetConfig::synchronous(n).with_seed(9).with_threads(threads);
+            let cfg = NetConfig::synchronous(n)
+                .with_seed(9)
+                .with_threads(threads)
+                .with_frames(true);
             let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
                 .map(|_| Box::new(Cascade::default()) as Box<dyn Protocol<Msg>>)
                 .collect();

@@ -1,32 +1,40 @@
 //! Transport abstraction: the party runtime behind [`crate::Simulation`],
-//! factored into a trait so the deterministic discrete-event simulator is
-//! *one* backend and the real threaded runtime
-//! ([`threaded::ThreadedNet`]) is a second, conformant one.
+//! factored into a trait with three backends.
 //!
-//! Both backends execute the same protocol state machines over the same
+//! * [`Backend::Simulator`] — the deterministic discrete-event simulator
+//!   ([`Simulation`]), advancing a virtual clock event by event.
+//! * [`Backend::Threaded`] and [`Backend::Tcp`] — one wall-clock runtime,
+//!   [`WallNet`], over two media: in-memory channels
+//!   ([`threaded::ThreadedNet`]) or supervised loopback sockets
+//!   ([`tcp::TcpNet`]). Each party runs as an OS thread paced against the
+//!   *wall clock* — its timers are real `recv_timeout` deadlines, so the
+//!   synchronous→asynchronous fallback path is driven by genuine timeouts
+//!   rather than simulated `Δ` ticks.
+//!
+//! All backends execute the same protocol state machines over the same
 //! canonical wire bytes ([`crate::wire`]) with the same per-party seeded
-//! randomness ([`crate::NetConfig::party_rng_seed`]); the simulator advances
-//! a virtual clock event by event, while the threaded backend runs each
-//! party as an OS thread exchanging bytes over in-memory channels, paced
-//! against the *wall clock* — its timers are real `recv_timeout` deadlines,
-//! so the synchronous→asynchronous fallback path is driven by genuine
-//! timeouts rather than simulated `Δ` ticks.
+//! randomness ([`crate::NetConfig::party_rng_seed`]).
 //!
 //! The conformance contract (see DESIGN.md, "Transport abstraction &
 //! conformance oracle", and `tests/transport_conformance.rs`): for any seed
-//! and any [`crate::scheduler::LinkDelays`] latency matrix, the two backends
-//! produce byte-identical per-party outputs and identical per-party
-//! honest-bit accounting. The simulator — bit-exact, replayable, adversarially
-//! schedulable — thereby serves as a golden oracle for the real runtime.
+//! and any [`crate::scheduler::LinkDelays`] latency matrix, the wall-clock
+//! runtime on either medium and the simulator produce byte-identical
+//! per-party outputs and identical per-party honest-bit accounting. The
+//! simulator — bit-exact, replayable, adversarially schedulable — thereby
+//! serves as a golden oracle for the real runtime.
 
 pub mod supervisor;
 pub mod tcp;
 pub mod threaded;
+mod wall;
+
+pub use wall::{Medium, WallNet};
 
 use std::sync::Arc;
 
 use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet};
 use crate::context::Protocol;
+use crate::knobs;
 use crate::metrics::Metrics;
 use crate::simulation::{Simulation, TranscriptEntry};
 use crate::wire::{WireDecode, WireEncode};
@@ -35,7 +43,7 @@ use crate::wire::{WireDecode, WireEncode};
 pub type PartyId = usize;
 
 /// Logical network time in ticks. On the simulator this is the virtual
-/// event-queue clock; on the threaded backend one tick is a fixed wall-clock
+/// event-queue clock; on the wall-clock runtime one tick is a fixed wall-clock
 /// duration (`MPC_TICK_US`) and the value reported is the highest tick a
 /// party actually processed.
 pub type Time = u64;
@@ -46,14 +54,14 @@ pub enum Backend {
     /// The deterministic discrete-event simulator ([`Simulation`]):
     /// virtual time, bit-exact replay, adversarial schedulers.
     Simulator,
-    /// The real threaded runtime ([`threaded::ThreadedNet`]): one OS thread
-    /// per party, in-memory duplex channels carrying TCP-ready frame bytes,
-    /// wall-clock timeouts.
+    /// The wall-clock runtime over in-memory channels
+    /// ([`threaded::ThreadedNet`]): one OS thread per party, duplex channels
+    /// carrying TCP-ready frame bytes, wall-clock timeouts.
     Threaded,
-    /// The socket runtime ([`tcp::TcpNet`]): the threaded party runtime with
-    /// every inter-party channel replaced by a supervised loopback
-    /// `TcpStream` — retry/backoff dialing, reconnect-with-replay, and an
-    /// incremental decoder that resyncs after torn frames.
+    /// The wall-clock runtime over sockets ([`tcp::TcpNet`]): every
+    /// inter-party link a supervised loopback `TcpStream` — retry/backoff
+    /// dialing, reconnect-with-replay, and an incremental decoder that
+    /// resyncs after torn frames.
     Tcp,
 }
 
@@ -78,12 +86,11 @@ impl Backend {
     /// [`Backend::Simulator`]; a set-but-unparsable value panics with the
     /// offending text rather than silently falling back.
     pub fn from_env() -> Backend {
-        match std::env::var("MPC_TRANSPORT") {
-            Ok(v) if v.trim().is_empty() => Backend::Simulator,
-            Ok(v) => Backend::parse(&v).unwrap_or_else(|| {
+        match knobs::raw("MPC_TRANSPORT") {
+            None => Backend::Simulator,
+            Some(v) => Backend::parse(&v).unwrap_or_else(|| {
                 panic!("MPC_TRANSPORT={v:?}: unknown backend (expected sim|threaded|tcp)")
             }),
-            Err(_) => Backend::Simulator,
         }
     }
 }
@@ -94,9 +101,9 @@ impl Backend {
 /// [`Transport::last_error`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
-    /// The threaded backend's conservative delivery gate saw zero progress
+    /// The wall-clock runtime's conservative delivery gate saw zero progress
     /// on a lagging link for the configured wedge timeout
-    /// (`ThreadedNet::with_wedge_millis` / `MPC_WEDGE_MS`) and processed
+    /// ([`WallNet::with_wedge_millis`] / `MPC_WEDGE_MS`) and processed
     /// anyway. Counted in [`Metrics::wedges`].
     Wedged {
         /// The peer whose link clock stopped advancing.

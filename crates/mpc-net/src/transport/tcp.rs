@@ -1,18 +1,17 @@
-//! The TCP socket transport backend: the threaded party runtime of
-//! [`super::threaded`] with every inter-party channel replaced by a
+//! The TCP socket transport backend: the wall-clock runtime ([`WallNet`])
+//! over the [`Sockets`] medium, which carries every inter-party link over a
 //! *supervised* loopback `TcpStream`.
 //!
 //! # Execution model
 //!
-//! Party threads are byte-for-byte the threaded backend's
-//! `PartyRuntime` — same wall-clock tick pacing, same conservative
-//! link-clock gate, same batch engines — so every conformance property the
-//! threaded backend inherits from the simulator oracle carries over
-//! unchanged. What this module replaces is the medium: a party's outbound
-//! channel to peer `r` now feeds a per-link *supervisor* (an outbox thread
-//! owning one dialed socket), and inbound packets arrive through a
-//! listener/reader pair that decodes the stream incrementally and forwards
-//! into the party's local inbox.
+//! Party threads run the same runtime as the threaded backend — same
+//! wall-clock tick pacing, same conservative link-clock gate, same batch
+//! engines — so every conformance property the threaded backend inherits
+//! from the simulator oracle carries over unchanged. Only the medium
+//! differs: a party's outbound channel to peer `r` feeds a per-link
+//! *supervisor* (an outbox thread owning one dialed socket), and inbound
+//! packets arrive through a listener/reader pair that decodes the stream
+//! incrementally and forwards into the party's local inbox.
 //!
 //! The supervisor absorbs real connection failure (see
 //! [`super::supervisor`] for the stream protocol):
@@ -50,62 +49,24 @@
 //! clean — so the logical schedule (and the guarantee matrix verdict) is
 //! untouched; only the wall-clock path stretches.
 
-use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
-use crate::context::Protocol;
 use crate::faults::FaultPlan;
+use crate::knobs;
 use crate::metrics::Metrics;
-use crate::scheduler::LinkDelays;
-use crate::simulation::{NetConfig, TranscriptEntry};
+use crate::simulation::NetConfig;
 use crate::transport::supervisor::{
     chaos_action, decode_handshake, encode_handshake, encode_record, Backoff, ChaosAction,
     LinkRecord, RecordDecoder, ReplayBuffer,
 };
-use crate::transport::threaded::{
-    tick_micros_from_env, wedge_millis_from_env, AdvState, Inbound, Packet, PartyDone,
-    PartyRuntime, Shared,
-};
-use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
-use crate::wire::{WireDecode, WireEncode};
-
-/// Resolves the replay-buffer byte bound from `MPC_TCP_REPLAY_CAP`
-/// (default 8 MiB). A set-but-unparsable value panics instead of silently
-/// falling back.
-pub fn replay_cap_from_env() -> usize {
-    const DEFAULT: usize = 8 << 20;
-    match std::env::var("MPC_TCP_REPLAY_CAP") {
-        Err(_) => DEFAULT,
-        Ok(v) if v.trim().is_empty() => DEFAULT,
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-            panic!("MPC_TCP_REPLAY_CAP={v:?}: expected a byte count (unsigned integer)")
-        }),
-    }
-}
-
-/// Resolves the idle-link probe interval from `MPC_TCP_PROBE_MS`
-/// (milliseconds, default 25). A set-but-unparsable or zero value panics
-/// instead of silently falling back.
-pub fn probe_millis_from_env() -> u64 {
-    const DEFAULT: u64 = 25;
-    match std::env::var("MPC_TCP_PROBE_MS") {
-        Err(_) => DEFAULT,
-        Ok(v) if v.trim().is_empty() => DEFAULT,
-        Ok(v) => match v.trim().parse() {
-            Ok(ms) if ms > 0 => ms,
-            _ => panic!("MPC_TCP_PROBE_MS={v:?}: expected a positive millisecond count"),
-        },
-    }
-}
+use crate::transport::wall::{sealed::Wiring, Inbound, Packet, WallNet};
+use crate::transport::{Backend, PartyId, Time};
 
 /// Supervisor counters shared by every link thread of one run, folded into
 /// the merged [`Metrics`] afterwards.
@@ -584,429 +545,148 @@ fn acceptor_loop(
     }
 }
 
-/// The socket transport: drop-in third [`Transport`] backend
-/// ([`Backend::Tcp`]). Construct like [`super::threaded::ThreadedNet`]
-/// (same conformance contract against the simulator oracle), optionally
-/// install a socket-level chaos plan, then drive it through the trait.
-pub struct TcpNet<M> {
-    config: NetConfig,
-    corruption: CorruptionSet,
-    structure: Option<Arc<dyn AdversaryStructure>>,
-    links: LinkDelays,
-    faults: FaultPlan,
+/// The supervised-socket medium: the tcp-only settings plus the state its
+/// supervisor threads share. Every directed link gets a supervisor (outbox)
+/// thread dialing the receiver's loopback listener; every party gets an
+/// acceptor spawning one reader per accepted connection.
+pub struct Sockets {
+    /// The socket-level chaos plan (see [`TcpNet::set_chaos_plan`]).
     chaos: FaultPlan,
-    tick_us: u64,
-    wedge_ms: u64,
+    /// Replay-buffer byte bound per link.
     replay_cap: usize,
-    probe_ms: u64,
-    parties: Vec<Option<Box<dyn Protocol<M>>>>,
-    strategy: Option<Box<dyn ByzantineStrategy>>,
-    record: bool,
-    transcript: Vec<TranscriptEntry>,
-    metrics: Metrics,
-    now: Time,
-    ran: bool,
-    last_error: Option<TransportError>,
+    /// Idle-link probe interval.
+    probe: Duration,
+    stats: Arc<SupStats>,
+    /// Set once the party threads have joined: releases acceptors, stuck
+    /// dials and any outbox still waiting on a timeout.
+    closing: Arc<AtomicBool>,
 }
 
-impl<M: WireEncode + WireDecode + 'static> TcpNet<M> {
-    /// Creates a TCP network with the default latency matrix for the
-    /// configured network kind ([`LinkDelays::for_kind`]).
-    pub fn new(
-        config: NetConfig,
-        corruption: CorruptionSet,
-        parties: Vec<Box<dyn Protocol<M>>>,
-    ) -> Self {
-        let links = LinkDelays::for_kind(config.n, config.kind, config.delta, config.seed);
-        Self::with_links(config, corruption, links, parties)
-    }
-
-    /// Creates a TCP network with an explicit latency matrix.
+impl Default for Sockets {
+    /// No chaos; `MPC_TCP_REPLAY_CAP` (default 8 MiB) and
+    /// `MPC_TCP_PROBE_MS` (default 25 ms).
     ///
     /// # Panics
     ///
-    /// Panics if `parties.len() != config.n` or `links.n() != config.n`.
-    pub fn with_links(
-        config: NetConfig,
-        corruption: CorruptionSet,
-        links: LinkDelays,
-        parties: Vec<Box<dyn Protocol<M>>>,
-    ) -> Self {
-        assert_eq!(
-            parties.len(),
-            config.n,
-            "need exactly one root protocol per party"
-        );
-        assert_eq!(links.n(), config.n, "latency matrix size must match n");
-        let mut metrics = Metrics::new();
-        metrics.worker_threads = config.n as u64;
-        TcpNet {
-            tick_us: tick_micros_from_env(),
-            wedge_ms: wedge_millis_from_env(),
-            replay_cap: replay_cap_from_env(),
-            probe_ms: probe_millis_from_env(),
-            config,
-            corruption,
-            structure: None,
-            links,
-            faults: FaultPlan::none(),
+    /// Panics if either knob is set but not a positive integer.
+    fn default() -> Self {
+        Sockets {
             chaos: FaultPlan::none(),
-            parties: parties.into_iter().map(Some).collect(),
-            strategy: None,
-            record: false,
-            transcript: Vec::new(),
-            metrics,
-            now: 0,
-            ran: false,
-            last_error: None,
+            replay_cap: knobs::parsed::<NonZeroUsize>(
+                "MPC_TCP_REPLAY_CAP",
+                "a positive byte count",
+            )
+            .map_or(8 << 20, NonZeroUsize::get),
+            probe: Duration::from_millis(
+                knobs::parsed::<NonZeroU64>("MPC_TCP_PROBE_MS", "a positive millisecond count")
+                    .map_or(25, NonZeroU64::get),
+            ),
+            stats: Arc::default(),
+            closing: Arc::default(),
         }
     }
+}
 
-    /// Overrides the real duration of one logical tick (microseconds; `0`
-    /// keeps the `MPC_TICK_US` default). Call before running.
-    pub fn with_tick_micros(mut self, micros: u64) -> Self {
-        if micros > 0 {
-            self.tick_us = micros;
+impl Wiring for Sockets {
+    const BACKEND: Backend = Backend::Tcp;
+    // More generous than the threaded cap: reconnect cycles and stalled
+    // writes legitimately stretch a chaotic run's wall clock.
+    const CAP_SLACK: Duration = Duration::from_secs(5);
+
+    /// Binds the listeners, then spawns the acceptors and the link
+    /// supervisors; party `i`'s sender to `r` feeds link `(i, r)`'s outbox.
+    fn connect<'scope, 'env>(
+        &'env self,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        config: &NetConfig,
+        tick_us: u64,
+        inboxes: &[Sender<Inbound>],
+    ) -> Vec<Vec<Sender<Inbound>>> {
+        let n = inboxes.len();
+        // Listeners first: every dial target exists before any outbox dials.
+        let mut addrs = Vec::with_capacity(n);
+        let ingress: Arc<Vec<Mutex<u64>>> = Arc::new((0..n * n).map(|_| Mutex::new(0)).collect());
+        for (i, inbox) in inboxes.iter().enumerate() {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
+            addrs.push(listener.local_addr().expect("listener addr"));
+            let inbox = inbox.clone();
+            let (ingress, stats, closing) =
+                (ingress.clone(), self.stats.clone(), self.closing.clone());
+            scope.spawn(move || acceptor_loop(i, n, listener, inbox, ingress, stats, closing));
         }
-        self
+        let seed = config.seed;
+        (0..n)
+            .map(|from| {
+                (0..n)
+                    .map(|to| {
+                        if to == from {
+                            return inboxes[from].clone();
+                        }
+                        let (tx, rx) = mpsc::channel::<Inbound>();
+                        let ctx = LinkCtx {
+                            from,
+                            to,
+                            addr: addrs[to],
+                            chaos: &self.chaos,
+                            tick_us,
+                            probe: self.probe,
+                            replay_cap: self.replay_cap,
+                            stats: &self.stats,
+                            closing: &self.closing,
+                            backoff_seed: seed
+                                .wrapping_mul(0x0100_0000_01b3)
+                                .wrapping_add((from * n + to) as u64),
+                        };
+                        scope.spawn(move || outbox_loop(ctx, rx));
+                        tx
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
-    /// Overrides the conservative gate's zero-progress grace (milliseconds;
-    /// `0` keeps the `MPC_WEDGE_MS` / 30 s default). Call before running.
-    pub fn with_wedge_millis(mut self, millis: u64) -> Self {
-        if millis > 0 {
-            self.wedge_ms = millis;
-        }
-        self
+    fn close(&self) {
+        // Parties are gone (their link senders dropped, so outboxes drain
+        // and exit); the flag releases everything else.
+        self.closing.store(true, Ordering::SeqCst);
     }
 
+    fn fold(&self, merged: &mut Metrics) {
+        merged.reconnects = self.stats.reconnects.load(Ordering::Relaxed);
+        merged.dial_retries = self.stats.dial_retries.load(Ordering::Relaxed);
+        merged.frames_replayed = self.stats.frames_replayed.load(Ordering::Relaxed);
+        merged.bytes_resynced = self.stats.bytes_resynced.load(Ordering::Relaxed);
+    }
+}
+
+/// The socket transport: the third [`crate::transport::Transport`] backend
+/// ([`Backend::Tcp`]). Constructed like
+/// [`super::threaded::ThreadedNet`] (same conformance contract against the
+/// simulator oracle); optionally install a socket-level chaos plan, then
+/// drive it through the trait.
+pub type TcpNet<M> = WallNet<M, Sockets>;
+
+impl<M> WallNet<M, Sockets> {
     /// Overrides the replay-buffer byte bound (`0` keeps the
     /// `MPC_TCP_REPLAY_CAP` / 8 MiB default).
     pub fn with_replay_cap(mut self, bytes: usize) -> Self {
         if bytes > 0 {
-            self.replay_cap = bytes;
+            self.medium.replay_cap = bytes;
         }
         self
     }
 
-    /// Installs the *logical* [`FaultPlan`] (same semantics as on the other
-    /// backends: drops, crashes, partitions at the message layer).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-    }
-
     /// Installs the *socket-level* chaos plan interpreted by the supervisor
     /// shim (sever / stall / duplicate byte runs). Independent of
-    /// [`TcpNet::set_fault_plan`] — the logical plan decides what is
+    /// [`WallNet::set_fault_plan`] — the logical plan decides what is
     /// dropped, the chaos plan only how rough the wire is.
     pub fn set_chaos_plan(&mut self, plan: FaultPlan) {
-        self.chaos = plan;
+        self.medium.chaos = plan;
     }
 
     /// The installed chaos plan.
     pub fn chaos_plan(&self) -> &FaultPlan {
-        &self.chaos
-    }
-
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
-    /// Downcasts party `i`'s root protocol to a concrete type for
-    /// inspecting outputs after the run.
-    pub fn party_as<T: 'static>(&self, i: PartyId) -> Option<&T> {
-        PartyView::party(self, i).as_any().downcast_ref::<T>()
-    }
-
-    /// Binds the listeners, spawns party threads, link supervisors and
-    /// acceptors, runs to quiescence, joins, and folds the per-party and
-    /// supervisor accounting. Subsequent calls are no-ops.
-    pub fn run_net_to_quiescence(&mut self, horizon: Time) {
-        if self.ran {
-            return;
-        }
-        self.ran = true;
-        let n = self.config.n;
-        let tick_us = self.tick_us.max(1);
-        let guard = Duration::from_micros((tick_us / 4).max(50));
-        let record = self.record;
-        // More generous than the threaded cap: reconnect cycles and stalled
-        // writes legitimately stretch a chaotic run's wall clock.
-        let horizon_cap = Duration::from_micros(tick_us.saturating_mul(horizon.saturating_add(16)))
-            + Duration::from_secs(5);
-        let shared = Shared {
-            in_flight: AtomicI64::new(0),
-            idle: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            activity: AtomicU64::new(0),
-        };
-        let adv = Mutex::new(AdvState {
-            strategy: self.strategy.take().unwrap_or_else(|| Box::new(Passive)),
-            rng: StdRng::seed_from_u64(self.config.adversary_seed()),
-        });
-        let barrier = Barrier::new(n);
-        let epoch: OnceLock<Instant> = OnceLock::new();
-        let stats = Arc::new(SupStats::default());
-        let closing = Arc::new(AtomicBool::new(false));
-        let probe = Duration::from_millis(self.probe_ms.max(1));
-
-        // Listeners first: every dial target exists before any thread runs.
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-            addrs.push(l.local_addr().expect("listener addr"));
-            listeners.push(l);
-        }
-
-        // Party inboxes (coordinator keeps the senders for Stop) and one
-        // channel per directed link feeding its supervisor.
-        let mut inbox_txs = Vec::with_capacity(n);
-        let mut inbox_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel::<Inbound>();
-            inbox_txs.push(tx);
-            inbox_rxs.push(rx);
-        }
-        let mut link_txs: Vec<Vec<Option<Sender<Inbound>>>> = Vec::with_capacity(n);
-        let mut link_rxs: Vec<(PartyId, PartyId, Receiver<Inbound>)> = Vec::new();
-        for i in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for r in 0..n {
-                if r == i {
-                    row.push(None);
-                } else {
-                    let (tx, rx) = mpsc::channel::<Inbound>();
-                    row.push(Some(tx));
-                    link_rxs.push((i, r, rx));
-                }
-            }
-            link_txs.push(row);
-        }
-        let ingress: Arc<Vec<Mutex<u64>>> = Arc::new((0..n * n).map(|_| Mutex::new(0)).collect());
-
-        let protocols: Vec<Box<dyn Protocol<M>>> = self
-            .parties
-            .iter_mut()
-            .map(|slot| slot.take().expect("party state present outside a run"))
-            .collect();
-        let links = &self.links;
-        let faults = &self.faults;
-        let chaos = &self.chaos;
-        let corruption = &self.corruption;
-        let config = &self.config;
-        let replay_cap = self.replay_cap;
-        let wedge_timeout = Duration::from_millis(self.wedge_ms.max(1));
-        let results: Vec<PartyDone<M>> = std::thread::scope(|scope| {
-            let shared = &shared;
-            let adv = &adv;
-            let barrier = &barrier;
-            let epoch = &epoch;
-            let stats_ref = &stats;
-            let closing_ref = &closing;
-            // Acceptors.
-            for (i, listener) in listeners.into_iter().enumerate() {
-                let inbox = inbox_txs[i].clone();
-                let (ingress, stats, closing) = (ingress.clone(), stats.clone(), closing.clone());
-                scope.spawn(move || acceptor_loop(i, n, listener, inbox, ingress, stats, closing));
-            }
-            // Link supervisors (outboxes).
-            for (from, to, rx) in link_rxs {
-                let addr = addrs[to];
-                scope.spawn(move || {
-                    outbox_loop(
-                        LinkCtx {
-                            from,
-                            to,
-                            addr,
-                            chaos,
-                            tick_us,
-                            probe,
-                            replay_cap,
-                            stats: stats_ref,
-                            closing: closing_ref,
-                            backoff_seed: config
-                                .seed
-                                .wrapping_mul(0x0100_0000_01b3)
-                                .wrapping_add((from * n + to) as u64),
-                        },
-                        rx,
-                    )
-                });
-            }
-            // Party threads: the threaded backend's runtime, verbatim.
-            let mut link_txs = link_txs;
-            let handles: Vec<_> = protocols
-                .into_iter()
-                .zip(inbox_rxs)
-                .enumerate()
-                .map(|(i, (protocol, rx))| {
-                    let txs: Vec<Sender<Inbound>> = (0..n)
-                        .map(|r| {
-                            if r == i {
-                                inbox_txs[i].clone()
-                            } else {
-                                link_txs[i][r].take().expect("link sender unclaimed")
-                            }
-                        })
-                        .collect();
-                    let rng = StdRng::seed_from_u64(config.party_rng_seed(i));
-                    let honest = corruption.is_honest(i);
-                    let (delta, coin_seed) = (config.delta, config.coin_seed());
-                    scope.spawn(move || {
-                        let runtime = PartyRuntime {
-                            me: i,
-                            n,
-                            delta,
-                            coin_seed,
-                            horizon,
-                            record,
-                            honest,
-                            tick_us,
-                            guard,
-                            start: Instant::now(), // re-stamped after the barrier
-                            links,
-                            faults,
-                            protocol,
-                            rng,
-                            rx,
-                            txs,
-                            shared,
-                            adv,
-                            held: BinaryHeap::new(),
-                            timers: BinaryHeap::new(),
-                            tseq: 0,
-                            metrics: Metrics::new(),
-                            transcript: Vec::new(),
-                            next_unprocessed: 0,
-                            last_tick: 0,
-                            processed_any: false,
-                            order_tick: 0,
-                            order_counter: 0,
-                            stopping: false,
-                            chan_floor: (0..n)
-                                .map(|s| if s == i { Time::MAX } else { links.get(s, i) })
-                                .collect(),
-                            promised: 0,
-                            wedge_timeout,
-                            wedged: None,
-                        };
-                        runtime.run(barrier, epoch)
-                    })
-                })
-                .collect();
-            // Coordinator: poll for quiescence (packets in TCP transit keep
-            // `in_flight` claimed, so the scan is sound across the wire),
-            // then Stop the parties and close down the supervisor mesh.
-            let poll = Duration::from_micros((tick_us / 2).clamp(100, 2000));
-            let wall_start = Instant::now();
-            loop {
-                std::thread::sleep(poll);
-                let a1 = shared.activity.load(Ordering::SeqCst);
-                let quiet = shared.in_flight.load(Ordering::SeqCst) == 0
-                    && shared.idle.iter().all(|f| f.load(Ordering::SeqCst));
-                let a2 = shared.activity.load(Ordering::SeqCst);
-                if (quiet && a1 == a2) || wall_start.elapsed() > horizon_cap {
-                    break;
-                }
-            }
-            for tx in &inbox_txs {
-                let _ = tx.send(Inbound::Stop);
-            }
-            let results: Vec<PartyDone<M>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("party thread panicked"))
-                .collect();
-            // Parties are gone (their link senders dropped, so outboxes
-            // drain and exit); the flag releases acceptors, stuck dials,
-            // and any outbox still waiting on a timeout.
-            closing.store(true, Ordering::SeqCst);
-            results
-        });
-        let mut merged = Metrics::new();
-        merged.worker_threads = n as u64;
-        let mut now = 0;
-        let mut transcript: Vec<TranscriptEntry> = Vec::new();
-        for done in results {
-            self.parties[done.party] = Some(done.protocol);
-            merged.merge(&done.metrics);
-            if done.processed_any {
-                now = now.max(done.last_tick);
-            }
-            if self.last_error.is_none() {
-                if let Some((party, last_progress_tick)) = done.wedged {
-                    self.last_error = Some(TransportError::Wedged {
-                        party,
-                        last_progress_tick,
-                    });
-                }
-            }
-            transcript.extend(done.transcript);
-        }
-        merged.reconnects = stats.reconnects.load(Ordering::Relaxed);
-        merged.dial_retries = stats.dial_retries.load(Ordering::Relaxed);
-        merged.frames_replayed = stats.frames_replayed.load(Ordering::Relaxed);
-        merged.bytes_resynced = stats.bytes_resynced.load(Ordering::Relaxed);
-        transcript.sort_by_key(|e| e.at);
-        self.metrics = merged;
-        self.now = now;
-        self.transcript = transcript;
-        self.strategy = Some(adv.into_inner().expect("adversary state poisoned").strategy);
-    }
-}
-
-impl<M: WireEncode + WireDecode + 'static> PartyView<M> for TcpNet<M> {
-    fn n(&self) -> usize {
-        self.config.n
-    }
-    fn now(&self) -> Time {
-        self.now
-    }
-    fn party(&self, i: PartyId) -> &dyn Protocol<M> {
-        self.parties[i]
-            .as_deref()
-            .expect("party state present outside a run")
-    }
-}
-
-impl<M: WireEncode + WireDecode + 'static> Transport<M> for TcpNet<M> {
-    fn backend(&self) -> Backend {
-        Backend::Tcp
-    }
-    fn set_strategy(&mut self, strategy: Box<dyn ByzantineStrategy>) {
-        self.strategy = Some(strategy);
-    }
-    fn record_transcript(&mut self) {
-        self.record = true;
-    }
-    fn transcript(&self) -> &[TranscriptEntry] {
-        &self.transcript
-    }
-    fn run_until_done(
-        &mut self,
-        horizon: Time,
-        pred: &mut dyn FnMut(&dyn PartyView<M>) -> bool,
-    ) -> bool {
-        self.run_net_to_quiescence(horizon);
-        pred(self)
-    }
-    fn run_to_quiescence(&mut self, horizon: Time) {
-        self.run_net_to_quiescence(horizon);
-    }
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-    fn corruption(&self) -> &CorruptionSet {
-        &self.corruption
-    }
-    fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
-        self.structure = Some(structure);
-    }
-    fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
-        self.structure.as_ref()
-    }
-    fn last_error(&self) -> Option<&TransportError> {
-        self.last_error.as_ref()
+        &self.medium.chaos
     }
 }
 
@@ -1016,11 +696,12 @@ mod tests {
 
     #[test]
     fn env_knobs_have_sane_defaults() {
+        let sockets = Sockets::default();
         if std::env::var_os("MPC_TCP_REPLAY_CAP").is_none() {
-            assert_eq!(replay_cap_from_env(), 8 << 20);
+            assert_eq!(sockets.replay_cap, 8 << 20);
         }
         if std::env::var_os("MPC_TCP_PROBE_MS").is_none() {
-            assert_eq!(probe_millis_from_env(), 25);
+            assert_eq!(sockets.probe, Duration::from_millis(25));
         }
     }
 }

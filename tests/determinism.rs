@@ -3,10 +3,11 @@
 //! scheduler must reproduce the exact event transcript and metrics, in both
 //! network kinds; different seeds must actually produce different executions.
 //!
-//! Since the deterministic parallel engine (PR 4), the same holds across
-//! worker-thread counts: a `threads = k` run must be bit-identical — same
-//! transcript hash, same `Metrics`, same honest-bit totals — to the
-//! `threads = 1` run for every seed, network kind and Byzantine strategy.
+//! The same holds across worker-thread counts: a `threads = k` run must be
+//! bit-identical — same transcript hash, same `Metrics`, same honest-bit
+//! totals — to the `threads = 1` run for every seed, network kind and
+//! Byzantine strategy. Only the framed engine pre-executes on workers; the
+//! unframed reference engine is always sequential.
 
 use bobw_mpc::algebra::Fp;
 use bobw_mpc::core::{Circuit, MpcBuilder};
@@ -184,9 +185,9 @@ fn bc_transcript_and_metrics_bit_identical_to_pre_refactor_golden() {
     //  events_processed, completion_time) captured from the pre-optimisation
     // seed implementation at seed 11, n = 4, with frame coalescing pinned
     // *off* — this is the regression anchor for the unbatched wire path
-    // (also exercised suite-wide by the `MPC_FRAMES=0` CI run). The parallel
-    // engine must reproduce the same fingerprint for every worker-thread
-    // count.
+    // (also exercised suite-wide by the `MPC_FRAMES=0` CI run). The
+    // unframed engine is sequential, so the worker-thread count must not
+    // move the fingerprint.
     let golden = [
         (
             NetworkKind::Synchronous,
@@ -502,21 +503,23 @@ fn parallel_full_mpc_bit_identical_with_byzantine_wire() {
 }
 
 /// The communication-batching acceptance sweep: for every wire-level
-/// Byzantine strategy × network kind, the default batched engine (frames on,
-/// layer openings) and the two mixed variants must terminate with exactly
-/// the output of the unbatched reference engine, at every thread count —
-/// and a strategy that never tampers with bytes must keep
+/// Byzantine strategy × network kind, the unbatched reference engine must
+/// compute the circuit in the clear over its agreed input subset, and the
+/// default batched engine (frames on, layer openings) and the two mixed
+/// variants must terminate with exactly the reference output, at every
+/// thread count — and a strategy that never tampers with bytes must keep
 /// `decode_failures == 0` in every configuration.
 #[test]
 fn batching_preserves_outputs_for_all_strategies() {
     let c = Circuit::product_of_inputs(4);
+    let inputs = [2u64, 3, 4, 5];
     for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
         for (name, mk_strategy) in strategies() {
             let run = |frames: bool, per_gate: bool, threads: usize| {
                 MpcBuilder::new(4, 1, 0)
                     .network(kind)
                     .seed(41)
-                    .inputs(&[2, 3, 4, 5])
+                    .inputs(&inputs)
                     .corrupt(&[3])
                     .byzantine_strategy(mk_strategy())
                     .threads(threads)
@@ -540,6 +543,23 @@ fn batching_preserves_outputs_for_all_strategies() {
                     continue;
                 }
             };
+            // The protocol computes f over the agreed subset CS: parties
+            // outside CS contribute the default input 0.
+            let masked: Vec<Fp> = (0..inputs.len())
+                .map(|i| {
+                    if base.input_subset.contains(&i) {
+                        Fp::from_u64(inputs[i])
+                    } else {
+                        Fp::ZERO
+                    }
+                })
+                .collect();
+            assert_eq!(
+                base.output,
+                c.evaluate_clear(&masked),
+                "{kind:?}/{name}: reference output vs cleartext over CS {:?}",
+                base.input_subset
+            );
             let tampering = matches!(name, "garble");
             assert_eq!(
                 base.metrics.decode_failures == 0,

@@ -65,9 +65,10 @@ struct Conformance {
     real: MpcRunResult,
 }
 
-/// Runs the same configuration on both backends and asserts the conformance
-/// contract.
+/// Runs the same configuration on the simulator and on `backend` and asserts
+/// the conformance contract.
 fn assert_conformant(
+    backend: Backend,
     kind: NetworkKind,
     seed: u64,
     corrupt: &[usize],
@@ -121,7 +122,6 @@ fn assert_conformant(
     let sim = build(Backend::Simulator, 0)
         .run(&circuit)
         .unwrap_or_else(|e| panic!("simulator run failed ({label}, seed {seed}): {e}"));
-    let backend = real_backend();
     let schedule = tick_schedule();
     let mut real = None;
     for (attempt, &tick_us) in schedule.iter().enumerate() {
@@ -183,30 +183,48 @@ fn assert_conformant(
 fn synchronous_conformance_all_strategies() {
     for seed in [1u64, 5] {
         for (label, strategy) in strategies() {
-            let runs = assert_conformant(NetworkKind::Synchronous, seed, &[3], strategy, label);
+            let runs = assert_conformant(
+                real_backend(),
+                NetworkKind::Synchronous,
+                seed,
+                &[3],
+                strategy,
+                label,
+            );
             // Real timeouts drove every round transition on the threaded path.
             assert!(runs.real.metrics.timeouts_fired > 0);
         }
     }
 }
 
+/// Both wall-clock media, whatever `MPC_TRANSPORT` says.
 #[test]
 fn synchronous_conformance_all_honest() {
-    let runs = assert_conformant(
-        NetworkKind::Synchronous,
-        9,
-        &[],
-        || Box::new(Passive),
-        "honest",
-    );
-    assert_eq!(runs.sim.input_subset, vec![0, 1, 2, 3]);
-    assert!(runs.real.metrics.timeouts_fired > 0);
+    for backend in [Backend::Threaded, Backend::Tcp] {
+        let runs = assert_conformant(
+            backend,
+            NetworkKind::Synchronous,
+            9,
+            &[],
+            || Box::new(Passive),
+            "honest",
+        );
+        assert_eq!(runs.sim.input_subset, vec![0, 1, 2, 3]);
+        assert!(runs.real.metrics.timeouts_fired > 0);
+    }
 }
 
 #[test]
 fn asynchronous_conformance_all_strategies() {
     for (label, strategy) in strategies() {
-        let runs = assert_conformant(NetworkKind::Asynchronous, 2, &[4], strategy, label);
+        let runs = assert_conformant(
+            real_backend(),
+            NetworkKind::Asynchronous,
+            2,
+            &[4],
+            strategy,
+            label,
+        );
         // The asynchronous latency matrix slows one sender beyond Δ, so the
         // threaded parties' real recv_timeout deadlines expire before its
         // bytes arrive: the sync→async fallback is exercised by genuine
@@ -224,6 +242,7 @@ fn crashed_party_is_excluded_by_real_timeouts() {
     // enter the agreed subset; on the threaded backend the honest parties
     // discover this purely through elapsed recv_timeout deadlines.
     let runs = assert_conformant(
+        real_backend(),
         NetworkKind::Asynchronous,
         6,
         &[4],
